@@ -1,12 +1,12 @@
 // Command respin-serve is the long-running evaluation service: the
 // /v1 HTTP API of internal/serve over a persistent experiments.Runner,
 // so repeated design-space queries amortize the singleflight cache and
-// worker pool that one-shot CLI invocations rebuild every time.
+// job pool that one-shot CLI invocations rebuild every time.
 //
 // Usage:
 //
 //	respin-serve [-addr 127.0.0.1:8080] [-queue N] [-grace 60s]
-//	             [-jobs N] [-workers N] [-q]
+//	             [-jobs N] [-q] [-journal dir] [-journal-every N] [-quick]
 //	             [-cpuprofile f] [-memprofile f] [-metrics f] [-events f]
 //
 // A served /v1/run response is byte-identical to `respin-sim -metrics`
@@ -31,6 +31,16 @@ import (
 	"respin/internal/cli"
 	"respin/internal/experiments"
 	"respin/internal/serve"
+)
+
+// Connection timeouts. A client that trickles its request headers, or
+// parks an idle keep-alive connection, holds a descriptor and a
+// goroutine; these bound both. There is no read or write timeout on
+// the whole exchange: a cold /v1/run legitimately takes as long as the
+// simulation, and the request's own timeout_ms bounds that.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // main delegates to run so deferred cleanup (profile flushing, telemetry
@@ -67,7 +77,6 @@ func run() int {
 		r = experiments.QuickRunner()
 	}
 	r.Jobs = app.Jobs
-	r.Workers = app.Workers
 	if !*quiet {
 		r.Progress = os.Stderr
 	}
@@ -82,7 +91,12 @@ func run() int {
 		return app.Fail(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	shutdownErr := make(chan error, 1)

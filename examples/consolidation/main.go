@@ -9,31 +9,40 @@ import (
 	"fmt"
 	"log"
 
+	v1 "respin/internal/api/v1"
 	"respin/internal/config"
-	"respin/internal/core"
 	"respin/internal/report"
+	"respin/internal/sim"
 )
+
+// run executes one request to completion.
+func run(req v1.RunRequest) sim.Result {
+	if err := req.Normalize(); err != nil {
+		log.Fatal(err)
+	}
+	cfg, opts, err := req.Resolve()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sim.Run(cfg, req.Bench, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
 
 func main() {
 	const bench = "radix"
 	const quota = 200_000
 
-	run := func(kind config.ArchKind) core.Result {
-		sys, err := core.NewSystem(kind, core.WithQuota(quota), core.WithEpochTrace())
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sys.Run(bench)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
+	traced := func(kind config.ArchKind) sim.Result {
+		return run(v1.RunRequest{Config: kind.String(), Bench: bench, Quota: quota, EpochTrace: true})
 	}
 
 	fmt.Printf("running %s under greedy and oracle consolidation...\n\n", bench)
-	plain := run(config.SHSTT)
-	greedy := run(config.SHSTTCC)
-	oracle := run(config.SHSTTCCOracle)
+	plain := traced(config.SHSTT)
+	greedy := traced(config.SHSTTCC)
+	oracle := traced(config.SHSTTCCOracle)
 
 	fmt.Print(report.Trace("greedy (SH-STT-CC) active cores, cluster 0:", &greedy.Trace, 16, 24, 32))
 	fmt.Println()

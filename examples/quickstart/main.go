@@ -1,38 +1,45 @@
 // Quickstart: build the paper's proposed system (shared STT-RAM caches
 // with dynamic core consolidation), run one benchmark, and compare it
 // against the conventional near-threshold baseline.
+//
+// A run is described the same way everywhere — by a v1.RunRequest, the
+// document respin-serve accepts and respin-sim builds from its flags.
+// Resolve turns it into the chip configuration and simulator options.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"respin/internal/core"
+	v1 "respin/internal/api/v1"
 	"respin/internal/report"
+	"respin/internal/sim"
+	"respin/internal/trace"
 )
+
+// run executes one request to completion.
+func run(req v1.RunRequest) sim.Result {
+	if err := req.Normalize(); err != nil {
+		log.Fatal(err)
+	}
+	cfg, opts, err := req.Resolve()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sim.Run(cfg, req.Bench, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
 
 func main() {
 	const bench = "fft"
 	const quota = 60_000
 
-	baseline, err := core.NewSystem(core.Baseline(), core.WithQuota(quota))
-	if err != nil {
-		log.Fatal(err)
-	}
-	proposed, err := core.NewSystem(core.Proposed(), core.WithQuota(quota))
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fmt.Printf("running %s on the PR-SRAM-NT baseline and the proposed SH-STT-CC...\n\n", bench)
-	b, err := baseline.Run(bench)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p, err := proposed.Run(bench)
-	if err != nil {
-		log.Fatal(err)
-	}
+	b := run(v1.RunRequest{Config: "PR-SRAM-NT", Bench: bench, Quota: quota})
+	p := run(v1.RunRequest{Config: "SH-STT-CC", Bench: bench, Quota: quota})
 
 	t := report.NewTable("", "metric", "PR-SRAM-NT", "SH-STT-CC", "change")
 	t.AddRow("execution time", report.Millis(b.TimePS), report.Millis(p.TimePS),
@@ -44,5 +51,5 @@ func main() {
 	fmt.Print(t.String())
 
 	fmt.Printf("\nmean active cores per cluster under consolidation: %.1f of 16\n", p.ActiveCores.Mean())
-	fmt.Printf("available benchmarks: %v\n", core.Benchmarks())
+	fmt.Printf("available benchmarks: %v\n", trace.Names())
 }

@@ -105,13 +105,19 @@ func TestNormalizeCanonicalizes(t *testing.T) {
 		a.Quota != sim.DefaultQuota || a.Seed != 1 || a.SchemaVersion != SchemaVersion {
 		t.Fatalf("normalized request = %+v", a)
 	}
+	// Workers is still accepted from old clients and journals, but
+	// dropped: clusters always step serially.
 	b := RunRequest{SchemaVersion: SchemaVersion, Config: "SH-STT-CC", Bench: "fft",
-		Scale: "MEDIUM", Cluster: 16, Quota: sim.DefaultQuota, Seed: 1}
+		Scale: "MEDIUM", Cluster: 16, Quota: sim.DefaultQuota, Seed: 1, Workers: 4}
 	if err := b.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Key() != b.Key() {
-		t.Fatalf("equivalent requests have different keys:\n%s\n%s", a.Key(), b.Key())
+	if a != b || a.Key() != b.Key() {
+		t.Fatalf("equivalent requests differ:\n%+v\n%+v", a, b)
+	}
+	neg := RunRequest{Config: "SH-STT-CC", Bench: "fft", Workers: -1}
+	if err := neg.Normalize(); err == nil {
+		t.Fatal("negative workers accepted")
 	}
 }
 
@@ -148,6 +154,10 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	nested := `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","faults":{"bogus":1}}`
 	if _, err := DecodeRunRequest(strings.NewReader(nested)); err == nil {
 		t.Fatal("unknown nested field not rejected")
+	}
+	legacy := `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","workers":4}`
+	if _, err := DecodeRunRequest(strings.NewReader(legacy)); err != nil {
+		t.Fatalf("workers field from an older client rejected: %v", err)
 	}
 }
 
@@ -224,7 +234,7 @@ func TestResolveMatchesCLISemantics(t *testing.T) {
 	if cfg.ClusterSize != 16 || cfg.Kind.String() != "SH-STT" {
 		t.Fatalf("resolved config = %+v", cfg)
 	}
-	if opts.QuotaInstr != sim.DefaultQuota || opts.Seed != 1 || opts.Workers != 1 {
+	if opts.QuotaInstr != sim.DefaultQuota || opts.Seed != 1 {
 		t.Fatalf("resolved options = %+v", opts)
 	}
 	if opts.Endurance.Enabled() {

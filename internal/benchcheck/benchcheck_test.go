@@ -13,7 +13,7 @@ pkg: respin
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkFigure1 	       1	     24753 ns/op	        83.70 NT-leak-%	    5160 B/op	     115 allocs/op
 BenchmarkTableI-8 	       1	     40438 ns/op	    5160 B/op	     115 allocs/op
-BenchmarkFigure9/workers-1-8 	       1	6143106930 ns/op	         0.8017 SH-STT-norm-energy	 1000 B/op	 10 allocs/op
+BenchmarkTable4/jobs-1-8 	       1	6143106930 ns/op	         0.8017 SH-STT-norm-energy	 1000 B/op	 10 allocs/op
 BenchmarkSimThroughput 	       1	 332332816 ns/op	   4814534 instr/s	 200 B/op	 3 allocs/op
 PASS
 ok  	respin	35.1s
@@ -42,13 +42,13 @@ func TestParseBench(t *testing.T) {
 	if e, ok := lookup(got, "BenchmarkTableI"); !ok || e.NsOp != 40438 {
 		t.Errorf("lookup(BenchmarkTableI) = %+v ok=%v", e, ok)
 	}
-	if e, ok := lookup(got, "BenchmarkFigure9/workers-1"); !ok || e.Metrics["SH-STT-norm-energy"] != 0.8017 {
-		t.Errorf("lookup(BenchmarkFigure9/workers-1) = %+v ok=%v", e, ok)
+	if e, ok := lookup(got, "BenchmarkTable4/jobs-1"); !ok || e.Metrics["SH-STT-norm-energy"] != 0.8017 {
+		t.Errorf("lookup(BenchmarkTable4/jobs-1) = %+v ok=%v", e, ok)
 	}
 	if e, ok := lookup(got, "BenchmarkFigure1"); !ok || e.NsOp != 24753 {
 		t.Errorf("lookup without marker = %+v ok=%v", e, ok)
 	}
-	if _, ok := lookup(got, "BenchmarkFigure9/workers"); ok {
+	if _, ok := lookup(got, "BenchmarkTable4/jobs"); ok {
 		t.Error("lookup must not treat a real sub-bench suffix as a cpu marker prefix match")
 	}
 }
@@ -56,7 +56,7 @@ func TestParseBench(t *testing.T) {
 func baseline() *Baseline {
 	return &Baseline{Benchmarks: map[string]Entry{
 		"BenchmarkFigure1": {NsOp: 99, Metrics: map[string]float64{"NT-leak-%": 83.70}},
-		"BenchmarkFigure9/workers-1": {NsOp: 99,
+		"BenchmarkTable4/jobs-1": {NsOp: 99,
 			Metrics: map[string]float64{"SH-STT-norm-energy": 0.8017}},
 		"BenchmarkSimThroughput": {NsOp: 99, Metrics: map[string]float64{"instr/s": 4814534}},
 	}}
@@ -142,9 +142,9 @@ func TestRepoBaselineLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := b.Benchmarks["BenchmarkFigure9/workers-1"]
+	e, ok := b.Benchmarks["BenchmarkFigure9"]
 	if !ok {
-		t.Fatal("BenchmarkFigure9/workers-1 missing from BENCH_baseline.json")
+		t.Fatal("BenchmarkFigure9 missing from BENCH_baseline.json")
 	}
 	if e.Metrics["SH-STT-norm-energy"] == 0 {
 		t.Error("SH-STT-norm-energy anchor missing")

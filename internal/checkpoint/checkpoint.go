@@ -13,12 +13,13 @@
 //	20      32    SHA-256 of the payload bytes
 //	52      n     gob-encoded payload
 //
-// Writes are crash-safe: the file is assembled in a temporary sibling
-// and renamed into place, so a reader never observes a half-written
-// checkpoint — it sees either the previous complete file or the new
-// one. The checksum catches the remaining failure modes (torn storage,
-// truncation, bit rot); Load refuses a corrupt file with a structured
-// error rather than handing gob a poisoned stream.
+// Writes are crash-safe (WriteFile): the file is assembled in a
+// temporary sibling, renamed into place and the directory fsynced, so a
+// reader never observes a half-written checkpoint — it sees either the
+// previous complete file or the new one. The checksum catches the
+// remaining failure modes (torn storage, truncation, bit rot); Load
+// refuses a corrupt file with a structured error rather than handing
+// gob a poisoned stream.
 package checkpoint
 
 import (
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // magic identifies a respin checkpoint file.
@@ -65,7 +65,7 @@ func (e *ErrVersion) Error() string {
 }
 
 // Save gob-encodes payload and writes the container to path atomically
-// (temporary file in the same directory, fsync, rename).
+// (see WriteFile).
 func Save(path string, version uint32, payload any) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
@@ -79,26 +79,15 @@ func Save(path string, version uint32, payload any) error {
 	binary.BigEndian.PutUint64(hdr[12:20], uint64(body.Len()))
 	copy(hdr[20:], sum[:])
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(hdr[:]); err == nil {
-		_, err = tmp.Write(body.Bytes())
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	err := WriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		_, err := w.Write(body.Bytes())
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("checkpoint %s: write: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func TestNewDefaults(t *testing.T) {
 
 func TestNewRegistersOnlyRequestedGroups(t *testing.T) {
 	a, fs := newApp(WithRunFlags(Defaults{Quota: 9}))
-	for _, name := range []string{"jobs", "workers", "cpuprofile", "metrics", "fault-seed", "endurance-budget", "config"} {
+	for _, name := range []string{"jobs", "cpuprofile", "metrics", "fault-seed", "endurance-budget", "config"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("unrequested flag -%s registered", name)
 		}
@@ -75,6 +75,9 @@ func TestNewParsesSharedFlags(t *testing.T) {
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
+	}
+	if fs.Lookup("workers") != nil {
+		t.Fatal("-workers registered: no flag sets intra-run parallelism")
 	}
 	if a.Seed != 7 || a.Jobs != 2 || a.Quota != 555 || !a.Quiet {
 		t.Fatalf("parsed common = %+v", a.Common)

@@ -234,7 +234,7 @@ type Cluster struct {
 	// chip-level scheduler drains it against the shared L3/DRAM.
 	pendingLower []lowerReq
 	// pendingEvents buffers telemetry emissions made while the cluster
-	// runs on a worker goroutine; the scheduler flushes them in global
+	// runs ahead within an epoch; the scheduler flushes them in global
 	// order at drain time.
 	pendingEvents []PendingEvent
 
@@ -304,8 +304,8 @@ type Params struct {
 	// done when every virtual core has retired it.
 	QuotaInstr uint64
 	// Faults is this cluster's fault-injector stream (conventionally a
-	// Derive child of the chip-wide injector, so clusters stepping on
-	// separate workers draw independently); nil injects nothing.
+	// Derive child of the chip-wide injector, so each cluster's draws
+	// depend only on its own event order); nil injects nothing.
 	Faults *faults.Injector
 	// Telemetry, when enabled, receives this cluster's metric
 	// registrations and events (conventionally the run collector's
@@ -649,9 +649,9 @@ func (cl *Cluster) FinishLower(i int, ready uint64) {
 func (cl *Cluster) ResetLower() { cl.pendingLower = cl.pendingLower[:0] }
 
 // PendingEvent is a telemetry emission buffered while the cluster ran
-// on a worker goroutine; the chip-level scheduler flushes these in
+// ahead within an epoch; the chip-level scheduler flushes these in
 // global (cycle, cluster) order so the JSONL stream is identical at any
-// worker count.
+// epoch length.
 type PendingEvent struct {
 	Collector *telemetry.Collector
 	Type      string

@@ -56,9 +56,10 @@ func registerController(c *telemetry.Collector, ctrl *sharedcache.Controller) {
 // emitRetry records an STT-RAM write-verify retry (or abort) event at
 // the given cache level. Callers guard on cl.tel != nil so the
 // untelemetered hot path pays only a pointer test. The event is
-// buffered rather than emitted: the cluster may be running on a worker
-// goroutine, and the emitter's global sequence numbers must be assigned
-// in (cycle, cluster) order, which only the chip-level drain knows.
+// buffered rather than emitted: the cluster may be running ahead of the
+// others within an epoch, and the emitter's global sequence numbers must
+// be assigned in (cycle, cluster) order, which only the chip-level drain
+// knows.
 func (cl *Cluster) emitRetry(level string, retries int, aborted bool) {
 	typ := "fault.stt_retry"
 	if aborted {

@@ -33,7 +33,7 @@
 // (seed, array identity) and independent of cluster stepping
 // interleave. Nothing on the access path draws randomness: wear,
 // retention and rotation are deterministic counters, preserving the
-// workers=1 ≡ workers=N bit-identity of the epoch scheduler.
+// epoch-length invariance of the epoch scheduler.
 package endurance
 
 import (
@@ -154,14 +154,14 @@ func (e *WearOutError) Error() string {
 // normalized parameters, hands out per-array state, and aggregates
 // wear for telemetry and the end-of-run report.
 //
-// Concurrency: arrays are mutated only by the goroutine stepping their
-// owning cluster; the tracker's aggregate reads happen at serial points
-// (epoch drain, end of run), matching the discipline of every other
-// stats structure in the simulator.
+// Ownership: arrays are mutated only while their owning cluster steps;
+// the tracker's aggregate reads happen at epoch drains and at the end
+// of the run, matching the discipline of every other stats structure in
+// the simulator.
 type Tracker struct {
 	p      Params
 	arrays []*Array
-	// cycles is the last chip cycle observed at a serial point, used by
+	// cycles is the last chip cycle observed at a drain, used by
 	// the projected-lifetime telemetry gauge.
 	cycles uint64
 }

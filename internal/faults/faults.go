@@ -187,10 +187,10 @@ func (c Counts) Any() bool { return c != Counts{} }
 // injects nothing — every method is nil-receiver safe — so fault-free
 // runs pay a single pointer test per hook.
 //
-// For parallel cluster stepping the chip injector acts as the root of a
-// small tree: Derive hands each cluster a child injector with RNG
-// streams of its own, so concurrent clusters never contend on (or
-// reorder draws from) a shared stream, and a cluster's draw sequence
+// For epoch-scheduled cluster stepping the chip injector acts as the
+// root of a small tree: Derive hands each cluster a child injector with
+// RNG streams of its own, so clusters that run ahead of each other never
+// reorder draws from a shared stream, and a cluster's draw sequence
 // depends only on its own event order. Snapshot, Uncorrectable and the
 // telemetry counters aggregate over the whole tree.
 type Injector struct {
@@ -230,7 +230,7 @@ func New(p Params) *Injector {
 	return in
 }
 
-// Derive builds a child injector for one concurrently-stepped unit
+// Derive builds a child injector for one independently-stepped unit
 // (conventionally a cluster, salted by its id). The child shares the
 // parent's rates and ECC geometry but owns independent RNG streams
 // seeded from (fault seed, salt), so its draw sequence is a pure

@@ -188,7 +188,7 @@ func (c *Cache) Endurance() *endurance.Array { return c.endur }
 
 // SetNow advances the cache-cycle clock used for retention stamping.
 // Owners call it at deterministic points (cluster tick, L3 drain), so
-// stamps never depend on worker interleave.
+// stamps never depend on how clusters interleave within an epoch.
 func (c *Cache) SetNow(now uint64) {
 	if now > c.now {
 		c.now = now

@@ -6,7 +6,8 @@ package serve
 // server keeps a write-ahead journal on disk instead:
 //
 //	<sha256(key)>.req.json     the accepted request, written (atomic
-//	                           temp+fsync+rename) BEFORE execution starts
+//	                           temp+fsync+rename+dir fsync) BEFORE
+//	                           execution starts
 //	<sha256(key)>.ckpt         periodic simulation checkpoint, rewritten
 //	                           at epoch boundaries while the run executes
 //	<sha256(key)>.result.json  the canonical RunResult document, written
@@ -30,12 +31,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
 	v1 "respin/internal/api/v1"
+	"respin/internal/checkpoint"
 )
 
 // defaultJournalEvery is the checkpoint cadence (in simulated cycles)
@@ -156,7 +159,7 @@ func (j *journal) logRequest(key string, req v1.RunRequest) error {
 	if err != nil {
 		return fmt.Errorf("serve: journal: %w", err)
 	}
-	return j.writeAtomic(j.reqPath(key), data)
+	return writeAtomic(j.reqPath(key), data)
 }
 
 // commit records a run's final envelope and retires its WAL entry and
@@ -168,7 +171,7 @@ func (j *journal) commit(key string, doc v1.RunResult) error {
 	if err != nil {
 		return fmt.Errorf("serve: journal: %w", err)
 	}
-	if err := j.writeAtomic(j.resultPath(key), data); err != nil {
+	if err := writeAtomic(j.resultPath(key), data); err != nil {
 		return err
 	}
 	j.mu.Lock()
@@ -179,25 +182,14 @@ func (j *journal) commit(key string, doc v1.RunResult) error {
 	return nil
 }
 
-// writeAtomic writes data to path via a synced temporary sibling and
-// rename, so a crash mid-write leaves either the old file or the new
-// one, never a torn journal entry.
-func (j *journal) writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(j.dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: journal: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
+// writeAtomic writes data to path with checkpoint.WriteFile, so a crash
+// mid-write leaves either the old file or the new one, never a torn
+// journal entry.
+func writeAtomic(path string, data []byte) error {
+	err := checkpoint.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("serve: journal %s: %w", path, err)
 	}

@@ -1,8 +1,8 @@
 // Package serve is the long-running evaluation service behind
 // cmd/respin-serve: an HTTP/JSON API (versioned under /v1) over a
-// persistent experiments.Runner, so the singleflight cache, the jobs
-// pool, and the intra-simulation workers are amortized across requests
-// instead of dying with a one-shot CLI process.
+// persistent experiments.Runner, so the singleflight cache and the jobs
+// pool are amortized across requests instead of dying with a one-shot
+// CLI process.
 //
 // Endpoints:
 //

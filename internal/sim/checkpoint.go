@@ -9,8 +9,7 @@ package sim
 // (power model, cache geometry, energy scalars, telemetry
 // registrations) is rebuilt by New from the same config, bench and
 // options, which ride along in the file. Resume is therefore
-// bit-identical to an uninterrupted run at any worker count: workers
-// only change which goroutine steps a cluster, never the state.
+// bit-identical to an uninterrupted run.
 
 import (
 	"context"
@@ -60,9 +59,9 @@ func (c CheckpointSpec) Enabled() bool { return c.Path != "" }
 const DefaultCheckpointEvery uint64 = 100_000
 
 // optionsWire is the subset of Options that defines the run and rides
-// in the checkpoint. Wall-clock knobs (Workers) and attachments
-// (Telemetry, Checkpoint) are deliberately absent: they are re-chosen
-// at resume time and must not affect results.
+// in the checkpoint. Attachments (Telemetry, Checkpoint) are
+// deliberately absent: they are re-chosen at resume time and must not
+// affect results.
 type optionsWire struct {
 	QuotaInstr         uint64
 	Seed               int64
@@ -96,8 +95,8 @@ type runnerState struct {
 	LastCyc  uint64
 	LastOS   uint64
 	EpochIdx int
-	// Barrier log cursors: the worker's change detector and the
-	// coordinator's replay cursor, equal at a drain boundary.
+	// Barrier log cursors: the stepping cluster's change detector and
+	// the drain's replay cursor, equal at a drain boundary.
 	LogW, LogU int
 	RepW, RepU int
 	// Mgr is the greedy consolidation search position; nil for the
@@ -289,9 +288,8 @@ func (s *Sim) WriteCheckpoint(path string, now uint64) error {
 type ResumeOption func(*resumeConfig)
 
 type resumeConfig struct {
-	tel     *telemetry.Collector
-	workers int
-	ckpt    CheckpointSpec
+	tel  *telemetry.Collector
+	ckpt CheckpointSpec
 }
 
 // WithTelemetry attaches a telemetry collector to the resumed run. The
@@ -302,11 +300,11 @@ func WithTelemetry(t *telemetry.Collector) ResumeOption {
 	return func(rc *resumeConfig) { rc.tel = t }
 }
 
-// WithWorkers sets the resumed run's worker count (default 1). Results
-// are bit-identical for every worker count, including one differing
-// from the interrupted run's.
-func WithWorkers(n int) ResumeOption {
-	return func(rc *resumeConfig) { rc.workers = n }
+// WithWorkers is kept so existing callers still compile.
+//
+// Deprecated: ignored; clusters always step on the calling goroutine.
+func WithWorkers(int) ResumeOption {
+	return func(*resumeConfig) {}
 }
 
 // WithCheckpoint re-arms checkpointing on the resumed run, typically at
@@ -324,13 +322,12 @@ func Resume(path string, ropts ...ResumeOption) (*Sim, error) {
 	if err := checkpoint.Load(path, SnapshotVersion, st); err != nil {
 		return nil, err
 	}
-	rc := resumeConfig{workers: 1}
+	var rc resumeConfig
 	for _, o := range ropts {
 		o(&rc)
 	}
 	opts := st.Opts.options()
 	opts.Telemetry = rc.tel
-	opts.Workers = rc.workers
 	opts.Checkpoint = rc.ckpt
 	s, err := New(st.Cfg, st.Bench, opts)
 	if err != nil {
@@ -360,7 +357,6 @@ func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Opti
 			info.Seed == opts.Seed && info.QuotaInstr == opts.QuotaInstr {
 			s, err := Resume(spec.Path,
 				WithTelemetry(opts.Telemetry),
-				WithWorkers(opts.Workers),
 				WithCheckpoint(spec))
 			if err == nil {
 				return s.RunContext(ctx)

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"runtime/debug"
 	"sort"
 
 	"respin/internal/cluster"
@@ -12,16 +10,19 @@ import (
 	"respin/internal/telemetry"
 )
 
-// The chip loop is a conservative-lookahead parallel scheduler. Each
-// cluster free-runs on a worker goroutine for an epoch of K cycles,
-// where K never exceeds the minimum L3 round trip (L2 read latency +
-// L3 read latency) nor the barrier release propagation delay — so no
-// cross-cluster effect issued inside an epoch can land inside the same
-// epoch. At each epoch boundary the coordinator serially:
+// The chip loop is a conservative-lookahead epoch scheduler. Each
+// cluster free-runs for an epoch of K cycles, where K never exceeds the
+// minimum L3 round trip (L2 read latency + L3 read latency) nor the
+// barrier release propagation delay — so no cross-cluster effect issued
+// inside an epoch can land inside the same epoch. Clusters step one
+// after another on the calling goroutine; the epoch structure is what
+// lets each of them fast-forward over its own idle stretches instead of
+// the whole chip advancing in per-cycle lockstep. At each epoch
+// boundary the scheduler:
 //
 //  1. drains the buffered L2-miss traffic against the shared L3/DRAM
 //     port timeline in (cycle, cluster-index, issue-order) order —
-//     exactly the order a serial per-cycle loop presents requests —
+//     exactly the order a per-cycle lockstep loop presents requests —
 //     and lands the completion events reserved at issue time;
 //  2. replays the global-barrier state machine over the per-cluster
 //     (waiters, unfinished) transition logs, evaluating the trigger at
@@ -32,16 +33,15 @@ import (
 //  4. delivers core-kill faults, checks completion/watchdog/machine
 //     checks, and takes chip-level idle fast-forward jumps.
 //
-// Results are bit-identical for any worker count and any epoch length:
-// workers only change which goroutine steps a cluster, and every
-// boundary between cluster-local and shared state is either buffered
-// (L3, telemetry, consolidation records) or replayed (barriers) in a
+// Results are bit-identical for any epoch length: every boundary
+// between cluster-local and shared state is either buffered (L3,
+// telemetry, consolidation records) or replayed (barriers) in a
 // deterministic global order.
 
 // barSample records a cluster's barrier counts after the tick of
 // `cycle` changed either of them.
 type barSample struct {
-	cycle              uint64
+	cycle               uint64
 	waiters, unfinished int
 }
 
@@ -54,24 +54,23 @@ type epochRec struct {
 	instructions uint64
 }
 
-// clusterRunner is the per-cluster scheduling state. Everything here is
-// touched only by the worker goroutine that owns the cluster during an
-// epoch, and only by the coordinator between epochs.
+// clusterRunner is the per-cluster scheduling state: written while the
+// cluster steps its epoch, read back by the drain between epochs.
 type clusterRunner struct {
 	cl  *cluster.Cluster
 	mgr consolidation.Manager
 
-	// Consolidation bookkeeping (moved here from the Sim so epoch
-	// boundaries can be decided in-worker at the exact cycle).
-	lastMtr power.Meter
-	lastCyc uint64
-	lastOS  uint64
-	epochIdx int
+	// Consolidation bookkeeping, kept per cluster so epoch boundaries
+	// are decided at the exact cycle while the cluster runs ahead.
+	lastMtr   power.Meter
+	lastCyc   uint64
+	lastOS    uint64
+	epochIdx  int
 	epochRecs []epochRec
 	recPtr    int
 
-	// Barrier transition log: logW/logU detect changes in the worker,
-	// repW/repU track the coordinator's replay cursor.
+	// Barrier transition log: logW/logU detect changes while the
+	// cluster steps, repW/repU track the drain's replay cursor.
 	barLog     []barSample
 	barPtr     int
 	logW, logU int
@@ -105,7 +104,7 @@ type flushEvent struct {
 func endgameBudget(k uint64) uint64 { return 8*k + 32 }
 
 // runClusterEpoch advances one cluster to cycle `end`, performing the
-// per-cycle work the serial chip loop did for it: idle fast-forward,
+// per-cycle work a lockstep chip loop would do for it: idle fast-forward,
 // ticking, barrier transition logging, and consolidation boundaries.
 func (s *Sim) runClusterEpoch(cr *clusterRunner, end uint64) {
 	cl := cr.cl
@@ -155,7 +154,7 @@ func (s *Sim) runClusterEpoch(cr *clusterRunner, end uint64) {
 }
 
 // endEpochLocal closes cluster cr's consolidation epoch at cycle now.
-// It runs in-worker: the policy decision and reconfiguration touch only
+// It runs mid-epoch: the policy decision and reconfiguration touch only
 // cluster-local state; the shared bookkeeping (trace, summary,
 // telemetry) is buffered as an epochRec and applied at the next drain.
 func (s *Sim) endEpochLocal(cr *clusterRunner, now uint64) {
@@ -190,7 +189,7 @@ func (s *Sim) endEpochLocal(cr *clusterRunner, now uint64) {
 	})
 }
 
-// drain is the serial epoch-boundary phase: answer the buffered L3/DRAM
+// drain is the epoch-boundary phase: answer the buffered L3/DRAM
 // traffic in global timestamp order, replay the barrier state machine,
 // apply consolidation records, and flush buffered telemetry.
 func (s *Sim) drain() {
@@ -235,7 +234,7 @@ func (s *Sim) drain() {
 }
 
 // drainLower merges the per-cluster request buffers by (issue cycle,
-// cluster index, issue order) — the order the serial loop presented
+// cluster index, issue order) — the order a lockstep loop presents
 // them — and runs each against the shared L3/DRAM port timeline.
 func (s *Sim) drainLower() {
 	n := len(s.crs)
@@ -274,7 +273,7 @@ func (s *Sim) drainLower() {
 // replayBarriers runs the chip-level barrier state machine over the
 // buffered transition logs. The trigger and reset conditions are
 // static between transitions, so evaluating at exactly the cycles
-// where some cluster's counts changed reproduces the serial per-cycle
+// where some cluster's counts changed reproduces per-cycle
 // evaluation.
 func (s *Sim) replayBarriers() {
 	for {
@@ -319,8 +318,8 @@ func (s *Sim) replayBarriers() {
 }
 
 // applyEpochRecs merges the buffered consolidation-epoch records by
-// (cycle, cluster index) and applies the shared bookkeeping the serial
-// loop did inline: the Figure 12-13 trace, the Figure 14 summary, and
+// (cycle, cluster index) and applies the shared bookkeeping a lockstep
+// loop would do inline: the Figure 12-13 trace, the Figure 14 summary, and
 // the epoch telemetry event.
 func (s *Sim) applyEpochRecs(flush *[]flushEvent) {
 	for {
@@ -366,51 +365,10 @@ func (s *Sim) applyEpochRecs(flush *[]flushEvent) {
 	}
 }
 
-// runEpoch advances every cluster to cycle `end`, sharded over the
-// worker pool (cluster i belongs to worker i mod W). With one worker
-// the epoch runs inline on the coordinator.
-func (s *Sim) runEpoch(end uint64, startChs []chan uint64, doneCh chan any) {
-	if len(startChs) == 0 {
-		for _, cr := range s.crs {
-			s.runClusterEpoch(cr, end)
-		}
-		return
-	}
-	for _, ch := range startChs {
-		ch <- end
-	}
-	var pan any
-	for range startChs {
-		if r := <-doneCh; r != nil && pan == nil {
-			pan = r
-		}
-	}
-	if pan != nil {
-		// Re-panic on the coordinator so the caller's recovery (the
-		// experiments runner attributes panics to config/bench/seed)
-		// sees it; the worker's stack is folded into the value.
-		panic(pan)
-	}
-}
-
-// clusterWorker is one epoch-stepping goroutine. It exits when the
-// start channel closes; a panic inside an epoch is captured (with its
-// stack) and handed to the coordinator rather than killing the process
-// from a goroutine nobody can recover.
-func (s *Sim) clusterWorker(w, workers int, start <-chan uint64, done chan<- any) {
-	for end := range start {
-		var pan any
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					pan = fmt.Sprintf("sim worker %d: %v\n%s", w, r, debug.Stack())
-				}
-			}()
-			for i := w; i < len(s.crs); i += workers {
-				s.runClusterEpoch(s.crs[i], end)
-			}
-		}()
-		done <- pan
+// runEpoch advances every cluster, in index order, to cycle `end`.
+func (s *Sim) runEpoch(end uint64) {
+	for _, cr := range s.crs {
+		s.runClusterEpoch(cr, end)
 	}
 }
 
